@@ -18,6 +18,13 @@
 //     databases; only the publish is timed. This is the honest O(delta)
 //     number: delta = 1 assertion, N = 1k vs 64k should be within a
 //     small constant of each other.
+//   - BM_PublishReclassify/N: one new individual told into PRIM-0, the
+//     root of the primitive tree (its extension holds ~90% of the
+//     database: every individual asserted into any primitive), then
+//     publish; both timed. Unlike BM_PublishDelta's probe role, this touches a concept
+//     extension of size N on every iteration — the path every real
+//     update takes through realization — so any extension copy on the
+//     mutate or the publish side shows as a 64k/1k ratio far above 1.
 //   - BM_SnapshotAcquire: reader-side cost of grabbing the current epoch
 //     (one mutex-guarded shared_ptr copy).
 //
@@ -127,6 +134,8 @@ struct PublishFixture {
   KbEngine engine;
   SchemaHandles schema;
   std::vector<std::string> individuals;
+  /// Suffix of the next BM_PublishReclassify individual.
+  size_t next_reclassify = 0;
 
   explicit PublishFixture(size_t num_individuals) {
     SchemaSpec sspec;
@@ -181,6 +190,25 @@ void BM_PublishDelta(benchmark::State& state) {
   state.counters["individuals"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_PublishDelta)->Arg(1024)->Arg(65536)->Iterations(256);
+
+void BM_PublishReclassify(benchmark::State& state) {
+  PublishFixture& fx = PublishFixtureFor(static_cast<size_t>(state.range(0)));
+  const std::string& root = fx.schema.primitive_names.front();
+  for (auto _ : state) {
+    Status st = fx.db.CreateIndividual(
+        StrCat("Reclassify-", fx.next_reclassify++), root);
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    SnapshotPtr snap = fx.engine.PublishFrom(fx.db.kb());
+    benchmark::DoNotOptimize(snap);
+  }
+  state.counters["individuals"] = static_cast<double>(state.range(0));
+  auto extension = fx.db.InstancesOf(root);
+  state.counters["extension"] =
+      extension.ok() ? static_cast<double>(extension->size()) : 0.0;
+}
+// 256 publishes: many times the retained-epoch window (8), so evicting
+// old epochs is inside the timed loop too.
+BENCHMARK(BM_PublishReclassify)->Arg(1024)->Arg(65536)->Iterations(256);
 
 void BM_SnapshotAcquire(benchmark::State& state) {
   ParallelFixture& fx = Fixture();

@@ -65,9 +65,10 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
   ./build/tools/classic_stats --format=json examples/university.classic |
     python3 scripts/check_stats_schema.py
 
-  echo "== perf: publish-cost regression guard (smoke-mode bench)"
+  echo "== perf: publish-cost regression guard (delta floor + 64k/1k reclassify ratio)"
   cmake --build build -j"$JOBS" --target bench_parallel
-  ./build/bench/bench_parallel --benchmark_filter='BM_Publish/1024$' \
+  ./build/bench/bench_parallel \
+      --benchmark_filter='BM_Publish/1024$|BM_PublishReclassify/' \
       --benchmark_format=json --benchmark_min_time=0.05 2> /dev/null |
     python3 scripts/check_publish_cost.py
 
@@ -100,9 +101,13 @@ if [[ "$TSAN_ONLY" -eq 0 ]]; then
 
   echo "== serve: server smoke under ASan+UBSan"
   cmake -B build-asan -S . -DCLASSIC_SANITIZE=ON > /dev/null
-  cmake --build build-asan -j"$JOBS" --target serve_test classic_serve
+  cmake --build build-asan -j"$JOBS" --target serve_test classic_serve \
+    util_test cow_test
   ./build-asan/tests/serve_test
   ./build-asan/tools/classic_serve --self-check examples/university.classic
+  echo "== asan: util_test (ThreadPool latch lifetime) + cow_test"
+  ./build-asan/tests/util_test
+  ./build-asan/tests/cow_test
 
   echo "== obs: -DCLASSIC_OBS=OFF build (instrumentation compiles out)"
   cmake -B build-noobs -S . -DCLASSIC_OBS=OFF > /dev/null
@@ -126,8 +131,10 @@ cmake -B build-tsan -S . -DCLASSIC_TSAN=ON > /dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   parallel_diff_test parallel_stress_test obs_parallel_test \
   epoch_persistence_test serve_test propagate_stress_test \
-  propagate_determinism_test planner_equivalence_test
+  propagate_determinism_test planner_equivalence_test util_test
 
+echo "== tsan: util_test (ThreadPool::ParallelFor latch lifetime)"
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/util_test
 echo "== tsan: parallel_diff_test"
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_diff_test
 echo "== tsan: parallel_stress_test"

@@ -224,7 +224,7 @@ Result<std::vector<std::string>> Database::InstancesOf(
   }
   CLASSIC_ASSIGN_OR_RETURN(ConceptId cid, kb_.vocab().FindConcept(sym));
   CLASSIC_ASSIGN_OR_RETURN(NodeId node, kb_.taxonomy().NodeOf(cid));
-  const auto& inst = kb_.Instances(node);
+  const CowBitset& inst = kb_.Extension(node);
   return Names(kb_, std::vector<IndId>(inst.begin(), inst.end()));
 }
 

@@ -19,8 +19,8 @@
 //                 over an interval [lo, hi] unions the postings of every
 //                 host filler in the interval.
 //
-// Both stores sit on the CowMap idiom (util/cow.h): publication forks
-// them in O(delta), every published KbSnapshot sees an immutable index,
+// Both stores sit on the CowMap idiom (util/cow.h): publication copies
+// them in O(1), every published KbSnapshot sees an immutable index,
 // and concurrent readers go through CowMap::Find only. Maintenance
 // mirrors the referenced_by_ back-index exactly — every derived filler
 // addition passes through PropagationEngine::PropagateToFillers, which
@@ -94,24 +94,13 @@ class FillsIndex {
     host_fillers_.Clear();
   }
 
-  /// O(delta) structural-sharing copy for epoch publication.
-  FillsIndex Fork() const {
-    FillsIndex out;
-    out.postings_ = postings_.Fork();
-    out.host_fillers_ = host_fillers_.Fork();
-    return out;
-  }
-
   /// Value copy-downs since the last call (publish instrumentation).
   size_t TakeValueCopies() {
     return postings_.TakeValueCopies() + host_fillers_.TakeValueCopies();
   }
 
-  /// Approximate shared entry count (publish bytes-shared figure).
-  size_t ApproxFrozenEntries() const {
-    return postings_.ApproxFrozenEntries() +
-           host_fillers_.ApproxFrozenEntries();
-  }
+  /// Key count (publish bytes-shared figure).
+  size_t size() const { return postings_.size() + host_fillers_.size(); }
 
  private:
   CowMap<uint64_t, std::set<IndId>> postings_;

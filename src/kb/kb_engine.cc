@@ -296,14 +296,19 @@ SnapshotPtr KbEngine::Publish() {
   const uint64_t e = epoch_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto snap = std::make_shared<const KbSnapshot>(
       std::unique_ptr<const KnowledgeBase>(std::move(clone)), e);
+  SnapshotPtr evicted;
   {
     std::lock_guard<std::mutex> lock(current_mutex_);
     current_ = snap;
     retained_.push_back(snap);
     if (retained_.size() > kRetainedEpochs) {
+      evicted = std::move(retained_.front());
       retained_.erase(retained_.begin());
     }
   }
+  // Release the evicted epoch outside the lock, so snapshot() never
+  // waits on the reclamation of the nodes only that epoch still held.
+  evicted.reset();
 #if CLASSIC_OBS
   obs::RecordLatency(obs::Op::kPublish, obs::MonotonicNanos() - start);
   obs::FlushLocalCounters();
@@ -514,8 +519,9 @@ QueryAnswer KbEngine::ServeQueryImpl(const KnowledgeBase& kb,
         out.status = node.status();
         return out;
       }
-      const std::set<IndId>& inst = kb.Instances(*node);
-      out.values = Names(kb, std::vector<IndId>(inst.begin(), inst.end()));
+      const CowBitset& inst = kb.Extension(*node);
+      out.values.reserve(inst.size());
+      for (IndId i : inst) out.values.push_back(kb.vocab().IndividualName(i));
       if (request.explain) {
         // The extension of a named concept is maintained incrementally;
         // answering is a direct read of the taxonomy node's instance set.

@@ -53,7 +53,9 @@ struct QueryRequest {
   enum class Kind {
     /// ask-necessary-set: individuals known to satisfy the query.
     kAsk,
-    /// ask-possible-set: individuals not provably excluded.
+    /// ask-possible-set: individuals not known to satisfy the query but
+    /// not provably excluded either — disjoint from the kAsk answer, not
+    /// a superset of it (query::RetrievePossible).
     kAskPossible,
     /// ask-description: the intensional answer (rendered description +
     /// most specific named concepts).
@@ -240,9 +242,9 @@ class KbEngine {
   /// Survives Reset/ResetFrom/PublishFrom (re-applied to the new master).
   void SetParallelMutation(bool enabled);
 
-  /// \brief Forks the master copy-on-write (O(delta) in the mutations
-  /// since the previous publish — chunked stores share chunk
-  /// directories, instance indexes share frozen delta layers), freezes
+  /// \brief Forks the master copy-on-write (O(1) in the database size —
+  /// chunked stores and concept-extension bitsets share chunk
+  /// directories, hash-trie indexes share their roots), freezes
   /// its visible-individual bound and atomically installs it as the
   /// current epoch. Returns the new snapshot. Readers already holding
   /// older epochs are unaffected; the engine additionally retains the

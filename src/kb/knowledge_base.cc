@@ -1,6 +1,7 @@
 #include "kb/knowledge_base.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "kb/propagate.h"
 #include "obs/metrics.h"
@@ -67,9 +68,9 @@ KnowledgeBase::KnowledgeBase()
 // The copy-on-write epoch copy: vocabulary, normalizer and subsumption
 // memo are shared outright (they are internally synchronized interning
 // caches whose growth never changes database meaning); the chunked
-// stores share chunk directories; the delta maps freeze their overlays
-// and share every layer. Cost is O(accumulated delta), independent of
-// database size.
+// stores (concept extensions included) share chunk directories and the
+// hash tries share their roots. Cost is O(1) in the database size; the
+// writer later path-copies only what it touches.
 KnowledgeBase::KnowledgeBase(const KnowledgeBase& other)
     : vocab_(other.vocab_),
       normalizer_(other.normalizer_),
@@ -77,12 +78,12 @@ KnowledgeBase::KnowledgeBase(const KnowledgeBase& other)
       states_(other.states_),
       visible_ind_limit_(other.visible_ind_limit_),
       base_log_(other.base_log_),
-      instances_(other.instances_.Fork()),
-      rules_on_node_(other.rules_on_node_.Fork()),
+      instances_(other.instances_),
+      rules_on_node_(other.rules_on_node_),
       rules_(other.rules_),
       rules_mention_inds_(other.rules_mention_inds_),
-      referenced_by_(other.referenced_by_.Fork()),
-      fills_index_(other.fills_index_.Fork()),
+      referenced_by_(other.referenced_by_),
+      fills_index_(other.fills_index_),
       stats_(other.stats_) {}
 
 std::unique_ptr<KnowledgeBase> KnowledgeBase::Clone() const {
@@ -91,17 +92,20 @@ std::unique_ptr<KnowledgeBase> KnowledgeBase::Clone() const {
 
 size_t KnowledgeBase::TakeCowCopyCount() {
   return states_.TakeChunkCopies() + base_log_.TakeChunkCopies() +
-         instances_.TakeValueCopies() + referenced_by_.TakeValueCopies() +
+         instances_.TakeChunkCopies() + std::exchange(extension_copies_, 0) +
+         referenced_by_.TakeValueCopies() +
          fills_index_.TakeValueCopies() + rules_on_node_.TakeValueCopies() +
          taxonomy_.TakeCowCopies();
 }
 
 size_t KnowledgeBase::ApproxSharedCowBytes() const {
+  size_t extension_bytes = instances_.ApproxChunkBytes();
+  for (size_t n = 0; n < instances_.size(); ++n) {
+    extension_bytes += instances_[n].ApproxChunkBytes();
+  }
   return states_.ApproxChunkBytes() + base_log_.ApproxChunkBytes() +
-         taxonomy_.ApproxSharedBytes() +
-         (instances_.ApproxFrozenEntries() +
-          referenced_by_.ApproxFrozenEntries() +
-          fills_index_.ApproxFrozenEntries()) *
+         taxonomy_.ApproxSharedBytes() + extension_bytes +
+         (referenced_by_.size() + fills_index_.size()) *
              sizeof(std::pair<IndId, std::set<IndId>>);
 }
 
@@ -144,13 +148,13 @@ Result<ConceptId> KnowledgeBase::DefineConcept(std::string_view name,
   } else {
     NodeId smallest = *parents.begin();
     for (NodeId p : parents) {
-      if (Instances(p).size() < Instances(smallest).size()) smallest = p;
+      if (Extension(p).size() < Extension(smallest).size()) smallest = p;
     }
-    for (IndId i : Instances(smallest)) {
+    for (IndId i : Extension(smallest)) {
       bool in_all = true;
       for (NodeId p : parents) {
         if (p == smallest) continue;
-        if (Instances(p).count(i) == 0) {
+        if (!Extension(p).Test(i)) {
           in_all = false;
           break;
         }
@@ -197,7 +201,7 @@ Result<size_t> KnowledgeBase::AssertRule(std::string_view antecedent_name,
   if (MentionsIndividuals(*nf)) rules_mention_inds_ = true;
 
   // Fire immediately for current instances (complete propagation).
-  std::vector<IndId> seeds(Instances(node).begin(), Instances(node).end());
+  std::vector<IndId> seeds(Extension(node).begin(), Extension(node).end());
   if (!seeds.empty()) {
     Status st = Propagate(seeds);
     if (!st.ok()) {
@@ -420,7 +424,7 @@ Status KnowledgeBase::RederiveAll() {
     st.asserted = std::move(asserted);
     st.derived = IntrinsicForm(static_cast<IndId>(i));
   }
-  instances_.Clear();
+  instances_ = CowVector<CowBitset>();
   referenced_by_.Clear();
   fills_index_.Clear();
 
@@ -455,10 +459,35 @@ bool KnowledgeBase::IsClassicIndividual(IndId ind) const {
   return vocab_->individual(ind).kind == IndKind::kClassic;
 }
 
-const std::set<IndId>& KnowledgeBase::Instances(NodeId node) const {
-  const std::set<IndId>* inds = instances_.Find(node);
-  if (inds == nullptr) return EmptyIndSet();
-  return *inds;
+const CowBitset& KnowledgeBase::Extension(NodeId node) const {
+  static const CowBitset kEmpty;
+  return node < instances_.size() ? instances_[node] : kEmpty;
+}
+
+std::set<IndId> KnowledgeBase::Instances(NodeId node) const {
+  const CowBitset& ext = Extension(node);
+  return std::set<IndId>(ext.begin(), ext.end());
+}
+
+CowBitset& KnowledgeBase::MutableExtension(NodeId node) {
+  while (instances_.size() <= node) instances_.push_back(CowBitset());
+  return instances_.Mutable(node);
+}
+
+bool KnowledgeBase::AddInstance(NodeId node, IndId ind) {
+  if (Extension(node).Test(ind)) return false;
+  CowBitset& ext = MutableExtension(node);
+  ext.Set(ind);
+  extension_copies_ += ext.TakeChunkCopies();
+  return true;
+}
+
+bool KnowledgeBase::RemoveInstance(NodeId node, IndId ind) {
+  if (!Extension(node).Test(ind)) return false;
+  CowBitset& ext = MutableExtension(node);
+  ext.Reset(ind);
+  extension_copies_ += ext.TakeChunkCopies();
+  return true;
 }
 
 const std::set<IndId>& KnowledgeBase::Referencers(IndId ind) const {
@@ -685,7 +714,7 @@ std::string KnowledgeBase::CanonicalDerivedState() const {
     }
     out += "] instances={";
     first = true;
-    for (IndId ind : Instances(node)) {
+    for (IndId ind : Extension(node)) {
       if (ind >= limit) continue;
       if (!first) out += ",";
       first = false;

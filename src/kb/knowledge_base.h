@@ -125,8 +125,8 @@ class KnowledgeBase {
   /// whose meaning, ids (Symbols, IndIds, NfIds, NodeIds) and memo
   /// contents coincide with this one, built in O(delta) — the copy
   /// *shares* the vocabulary, normalizer, subsumption memo and the
-  /// chunked stores (states, base log, taxonomy arrays) with the source;
-  /// the instance/reference indexes share frozen delta layers. The single
+  /// chunked stores (states, base log, concept extensions, taxonomy
+  /// arrays) and the persistent reference indexes with the source. The single
   /// writer path-copies whatever it touches next, so the copy never
   /// changes after the call. The source must not be concurrently mutated
   /// during the call (single-writer discipline).
@@ -227,8 +227,15 @@ class KnowledgeBase {
   bool IsClassicIndividual(IndId ind) const;
 
   /// \brief All recognized instances of a taxonomy node (full extension,
-  /// maintained incrementally).
-  const std::set<IndId>& Instances(NodeId node) const;
+  /// maintained incrementally), as a persistent bitset over IndIds:
+  /// O(1) membership and size, ascending iteration. Every library read
+  /// path uses this accessor.
+  const CowBitset& Extension(NodeId node) const;
+
+  /// \brief The extension materialized as an ascending std::set, built
+  /// per call in O(|extension|). Off the serving path: it exists for
+  /// external callers that want a standard container.
+  std::set<IndId> Instances(NodeId node) const;
 
   /// \brief Filler-inverted postings + host-value range index (query
   /// planner access paths). Immutable on published snapshots.
@@ -334,6 +341,13 @@ class KnowledgeBase {
   /// chunk on first touch per epoch). Never called on a frozen snapshot.
   IndividualState& MutableState(IndId ind);
 
+  /// Writer-only extension maintenance (propagation insert, rollback):
+  /// path-copies at most one extension directory and one chunk. True iff
+  /// membership changed.
+  bool AddInstance(NodeId node, IndId ind);
+  bool RemoveInstance(NodeId node, IndId ind);
+  CowBitset& MutableExtension(NodeId node);
+
   /// One shared Vocabulary/Normalizer serves the master and every
   /// published epoch — that is what keeps ids consistent across epochs
   /// with zero copying. Both are safe for one writer + many readers.
@@ -360,10 +374,14 @@ class KnowledgeBase {
   /// All accepted assertions in global order (replay preserves the
   /// interleaving across individuals, which matters for CLOSE).
   CowVector<std::pair<IndId, DescPtr>> base_log_;
-  /// Layered delta maps: frozen layers shared across epochs, one mutable
-  /// overlay on the writer. Mutable so Clone() can freeze the overlay.
-  mutable CowMap<NodeId, std::set<IndId>> instances_;
-  mutable CowMap<NodeId, std::vector<size_t>> rules_on_node_;
+  /// Concept extensions, indexed by dense NodeId: a chunked vector of
+  /// persistent bitsets, so a publish shares them in O(1) and the writer
+  /// path-copies only the chunks it touches (DESIGN.md section 10).
+  CowVector<CowBitset> instances_;
+  /// Extension chunk copies since the last TakeCowCopyCount().
+  size_t extension_copies_ = 0;
+  /// Persistent hash tries (util/cow.h), shared across epochs in O(1).
+  CowMap<NodeId, std::vector<size_t>> rules_on_node_;
   std::vector<Rule> rules_;
   /// Latched when any rule consequent mentions individuals (see
   /// rules_mention_individuals()); recomputed if a rule is rejected.
@@ -374,12 +392,12 @@ class KnowledgeBase {
   ThreadPool* propagation_pool_ = nullptr;
   /// Reverse filler index: who mentions ind as a filler (cascade
   /// reclassification).
-  mutable CowMap<IndId, std::set<IndId>> referenced_by_;
+  CowMap<IndId, std::set<IndId>> referenced_by_;
   /// Filler-inverted postings + host-value range index for the query
   /// planner. Maintained alongside referenced_by_ (same single call
-  /// site in PropagateToFillers), forked on publish, rebuilt by
+  /// site in PropagateToFillers), shared on publish, rebuilt by
   /// RederiveAll.
-  mutable FillsIndex fills_index_;
+  FillsIndex fills_index_;
 
   mutable KbStats stats_;
 };

@@ -282,7 +282,7 @@ void PropagationEngine::Realize(IndId ind) {
   for (NodeId node : subs) {
     if (stw.subsumer_nodes.count(node) == 0) {
       if (scope_ == nullptr) {
-        if (kb_->instances_.Mutable(node).insert(ind).second) {
+        if (kb_->AddInstance(node, ind)) {
           journal_->instance_inserts.emplace_back(node, ind);
         }
       } else {
@@ -458,7 +458,7 @@ Status Propagator::Run(
       // Commit the staged index updates.
       for (const auto& eng : engines) {
         for (const auto& [node, ind] : eng->staged_instances()) {
-          if (kb_->instances_.Mutable(node).insert(ind).second) {
+          if (kb_->AddInstance(node, ind)) {
             journal_.instance_inserts.emplace_back(node, ind);
           }
         }
@@ -536,7 +536,7 @@ void Propagator::RollbackAll() {
     kb_->MutableState(ind) = std::move(saved);
   }
   for (const auto& [node, ind] : journal_.instance_inserts) {
-    kb_->instances_.Mutable(node).erase(ind);
+    kb_->RemoveInstance(node, ind);
   }
   for (const auto& [filler, host] : journal_.refs_added) {
     kb_->referenced_by_.Mutable(filler).erase(host);

@@ -1,5 +1,6 @@
 #include "obs/histogram.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace classic::obs {
@@ -22,18 +23,24 @@ uint64_t BucketMid(size_t bucket) {
 }
 
 /// Smallest duration d such that at least `rank` samples are <= d,
-/// estimated from bucket counts.
+/// estimated from bucket counts and clamped to the observed [lo, hi]: a
+/// bucket midpoint can lie outside the range the samples actually
+/// spanned, and a quantile above the maximum is not an estimate.
 uint64_t PercentileFromBuckets(
     const std::array<uint64_t, kHistogramBuckets>& buckets, uint64_t count,
-    double q) {
+    double q, uint64_t lo, uint64_t hi) {
   if (count == 0) return 0;
   const uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count));
   uint64_t seen = 0;
+  uint64_t mid = BucketMid(kHistogramBuckets - 1);
   for (size_t b = 0; b < kHistogramBuckets; ++b) {
     seen += buckets[b];
-    if (seen > rank) return BucketMid(b);
+    if (seen > rank) {
+      mid = BucketMid(b);
+      break;
+    }
   }
-  return BucketMid(kHistogramBuckets - 1);
+  return std::clamp(mid, lo, hi);
 }
 
 /// Relaxed compare-exchange min/max (uncontended in practice: one sample
@@ -78,9 +85,12 @@ HistogramView LatencyHistogram::View(Op op) const {
   if (out.count > 0) {
     out.min_ns = min_.load(std::memory_order_relaxed);
     out.max_ns = max_.load(std::memory_order_relaxed);
-    out.p50_ns = PercentileFromBuckets(out.buckets, out.count, 0.50);
-    out.p90_ns = PercentileFromBuckets(out.buckets, out.count, 0.90);
-    out.p99_ns = PercentileFromBuckets(out.buckets, out.count, 0.99);
+    out.p50_ns = PercentileFromBuckets(out.buckets, out.count, 0.50,
+                                       out.min_ns, out.max_ns);
+    out.p90_ns = PercentileFromBuckets(out.buckets, out.count, 0.90,
+                                       out.min_ns, out.max_ns);
+    out.p99_ns = PercentileFromBuckets(out.buckets, out.count, 0.99,
+                                       out.min_ns, out.max_ns);
   }
   return out;
 }

@@ -57,14 +57,32 @@ struct Source {
   enum class Kind { kTaxonomy, kFills, kHostRange, kEnum };
   Kind kind;
   size_t size = 0;
-  /// The set itself; nullptr means provably empty (no posting list ever
-  /// existed for the pair — the query can only be answered by subsumed
-  /// concepts' extensions).
+  /// kTaxonomy: the parent's extension (never null).
+  const CowBitset* extension = nullptr;
+  /// Other kinds: the set itself; nullptr means provably empty (no
+  /// posting list ever existed for the pair — the query can only be
+  /// answered by subsumed concepts' extensions).
   const std::set<IndId>* members = nullptr;
   NodeId node = 0;       // kTaxonomy
   RoleId role = 0;       // kFills / kHostRange
   IndId filler = kNoId;  // kFills / kHostRange
 };
+
+/// Membership probe: one bit test on an extension, O(log n) on a set.
+bool Contains(const Source& s, IndId i) {
+  if (s.extension != nullptr) return s.extension->Test(i);
+  return s.members != nullptr && s.members->count(i) > 0;
+}
+
+/// Calls fn(id) for every member, ascending.
+template <typename Fn>
+void ForEachMember(const Source& s, Fn&& fn) {
+  if (s.extension != nullptr) {
+    for (IndId i : *s.extension) fn(i);
+  } else if (s.members != nullptr) {
+    for (IndId i : *s.members) fn(i);
+  }
+}
 
 /// Ceiling of TestCostFactor(): a filter can never save more than
 /// base_size * kMaxTestCost residual tests, so sources larger than that
@@ -78,10 +96,9 @@ constexpr size_t kMaxTestCost = 8;
 struct Prepared {
   Classification cls;
   std::vector<Source> sources;  // deterministic gather order
-  /// Per-source: applied as a bitset filter on the index path? (The base
-  /// and every source that can pay for its own materialization.) Scan
-  /// ignores this — its membership probes are O(log n) per candidate,
-  /// not O(|source|) up front.
+  /// Per-source: applied as a filter on the index path? (The base and
+  /// every source that can pay for its own materialization.) Scan
+  /// ignores this — it probes the other parents' extensions directly.
   std::vector<char> filter;
   bool use_index = false;
   /// Index into sources of the chosen base (first minimum); SIZE_MAX =
@@ -100,7 +117,7 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
   if (p.cls.equivalent) return p;
 
   for (NodeId child : p.cls.children) {
-    p.child_est += kb.Instances(child).size();
+    p.child_est += kb.Extension(child).size();
   }
 
   const Mode m = mode();
@@ -108,8 +125,8 @@ Prepared Prepare(const KnowledgeBase& kb, const NormalForm& nf) {
     Source s;
     s.kind = Source::Kind::kTaxonomy;
     s.node = parent;
-    s.members = &kb.Instances(parent);
-    s.size = s.members->size();
+    s.extension = &kb.Extension(parent);
+    s.size = s.extension->size();
     p.sources.push_back(s);
   }
   const size_t num_taxonomy = p.sources.size();
@@ -326,7 +343,7 @@ std::string RenderPlan(const char* kind_name, const PlanNode& root) {
 PlanNode PlanConcept(const KnowledgeBase& kb, const NormalForm& nf) {
   Prepared p = Prepare(kb, nf);
   if (p.cls.equivalent) {
-    const size_t n = kb.Instances(*p.cls.equivalent).size();
+    const size_t n = kb.Extension(*p.cls.equivalent).size();
     return Node("equivalent-instances", {NodeName(kb, *p.cls.equivalent)}, n);
   }
   return BuildTree(kb, p, nullptr);
@@ -342,10 +359,9 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
   if (p.cls.equivalent) {
     // The query names (an equivalent of) a schema concept: its extension
     // is maintained incrementally; no tests at all.
-    const auto& inst = kb.Instances(*p.cls.equivalent);
-    answers.insert(inst.begin(), inst.end());
+    const CowBitset& inst = kb.Extension(*p.cls.equivalent);
     out.stats.answers_from_index += inst.size();
-    out.answers.assign(answers.begin(), answers.end());
+    out.answers.assign(inst.begin(), inst.end());
     CLASSIC_OBS_COUNT(kPlannerIndexPath);
     if (plan != nullptr) {
       *plan = Node("equivalent-instances", {NodeName(kb, *p.cls.equivalent)},
@@ -358,7 +374,7 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
   // Instances of subsumed named concepts satisfy the query by definition.
   Acts acts;
   for (NodeId child : p.cls.children) {
-    for (IndId i : kb.Instances(child)) {
+    for (IndId i : kb.Extension(child)) {
       if (answers.insert(i).second) {
         ++out.stats.answers_from_index;
         ++acts.from_children;
@@ -367,51 +383,51 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
   }
 
   if (p.use_index) {
-    // Index path: materialize every non-base source as a bitset over the
-    // frozen visible bound, stream the (smallest) base through the
+    // Index path: materialize every non-base posting source as a bitset
+    // over the frozen visible bound (extensions already are bitsets and
+    // are probed in place), stream the (smallest) base through the
     // filters, residual-test the survivors. Candidates beyond the
     // visible bound are skipped — the scan path never enumerates them,
     // and answers must not depend on the access path.
     size_t postings_scanned = 0;
     std::vector<DynamicBitset> filters;
+    std::vector<const CowBitset*> extensions;
     filters.reserve(p.sources.size());
     for (size_t i = 0; i < p.sources.size(); ++i) {
       const Source& s = p.sources[i];
       if (i != p.base && !p.filter[i]) continue;
       if (s.kind != Source::Kind::kTaxonomy) postings_scanned += s.size;
       if (i == p.base) continue;
-      DynamicBitset bits(p.visible);
-      if (s.members != nullptr) {
-        for (IndId m : *s.members) {
-          if (m < p.visible) bits.Set(m);
-        }
+      if (s.extension != nullptr) {
+        extensions.push_back(s.extension);
+        continue;
       }
+      DynamicBitset bits(p.visible);
+      ForEachMember(s, [&](IndId m) {
+        if (m < p.visible) bits.Set(m);
+      });
       filters.push_back(std::move(bits));
     }
     size_t pruned = 0;
-    if (p.sources[p.base].members != nullptr) {
-      for (IndId i : *p.sources[p.base].members) {
-        if (i >= p.visible) continue;
-        if (answers.count(i) > 0) continue;
-        bool pass = true;
-        for (const DynamicBitset& f : filters) {
-          if (!f.Test(i)) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) {
-          ++pruned;
-          continue;
-        }
-        ++acts.candidates;
-        ++out.stats.candidates_tested;
-        if (kb.Satisfies(i, nf)) {
-          answers.insert(i);
-          ++acts.accepted;
-        }
+    ForEachMember(p.sources[p.base], [&](IndId i) {
+      if (i >= p.visible) return;
+      if (answers.count(i) > 0) return;
+      const bool pass =
+          std::all_of(extensions.begin(), extensions.end(),
+                      [i](const CowBitset* e) { return e->Test(i); }) &&
+          std::all_of(filters.begin(), filters.end(),
+                      [i](const DynamicBitset& f) { return f.Test(i); });
+      if (!pass) {
+        ++pruned;
+        return;
       }
-    }
+      ++acts.candidates;
+      ++out.stats.candidates_tested;
+      if (kb.Satisfies(i, nf)) {
+        answers.insert(i);
+        ++acts.accepted;
+      }
+    });
     CLASSIC_OBS_COUNT(kPlannerIndexPath);
     CLASSIC_OBS_COUNT_N(kPlannerPostingsScanned, postings_scanned);
     CLASSIC_OBS_COUNT_N(kPlannerCandidatesPruned, pruned);
@@ -426,18 +442,14 @@ Result<RetrievalResult> RetrieveConcept(const KnowledgeBase& kb,
       }
     } else {
       const Source& base = p.sources[p.base];
-      for (IndId i : *base.members) {
-        if (answers.count(i) > 0) continue;
-        bool in_all = true;
+      ForEachMember(base, [&](IndId i) {
+        if (answers.count(i) > 0) return;
         for (const Source& s : p.sources) {
           if (&s == &base || s.kind != Source::Kind::kTaxonomy) continue;
-          if (s.members->count(i) == 0) {
-            in_all = false;
-            break;
-          }
+          if (!Contains(s, i)) return;
         }
-        if (in_all) candidates.push_back(i);
-      }
+        candidates.push_back(i);
+      });
     }
     acts.candidates = candidates.size();
     for (IndId i : candidates) {

@@ -42,7 +42,7 @@ RelationalView BuildRelationalView(const KnowledgeBase& kb) {
     rel.concept_name = vocab.symbols().Name(vocab.concept_info(c).name);
     auto node = kb.taxonomy().NodeOf(c);
     if (node.ok()) {
-      for (IndId i : kb.Instances(*node)) {
+      for (IndId i : kb.Extension(*node)) {
         rel.members.push_back(vocab.IndividualName(i));
       }
       std::sort(rel.members.begin(), rel.members.end());

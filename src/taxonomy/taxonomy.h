@@ -71,7 +71,7 @@ class Taxonomy {
   /// \brief Copy-on-write copy bound to `vocab` — the epoch publish path.
   /// The node/edge arrays and the ancestor index share chunk storage with
   /// the source (the writer path-copies touched chunks on its next
-  /// insert); the concept directory shares frozen layers; the subsumption
+  /// insert); the concept directory shares its hash trie; the subsumption
   /// memo is the SAME lock-free index (interned NfIds live in the shared
   /// normal-form store, so verdicts are valid on every copy and all
   /// epochs warm one table). O(delta), not O(schema).
@@ -79,7 +79,7 @@ class Taxonomy {
       : vocab_(vocab),
         nodes_(other.nodes_),
         ancestor_sets_(other.ancestor_sets_),
-        node_of_concept_(other.node_of_concept_.Fork()),
+        node_of_concept_(other.node_of_concept_),
         roots_(other.roots_),
         subsume_index_(other.subsume_index_),
         total_insert_tests_(other.total_insert_tests_) {}

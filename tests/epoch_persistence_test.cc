@@ -211,6 +211,74 @@ TEST(EpochPersistenceTest, RetractionKeepsMultisetSemantics) {
       linked_before);
 }
 
+/// Every taxonomy node's extension, read through the bitset accessor.
+std::string ExtensionBytes(const KnowledgeBase& kb) {
+  std::string out;
+  for (NodeId node = 0; node < kb.taxonomy().num_nodes(); ++node) {
+    const CowBitset& ext = kb.Extension(node);
+    out += "node " + std::to_string(node) + " n=" +
+           std::to_string(ext.size()) + ":";
+    for (IndId i : ext) out += " " + std::to_string(i);
+    out += "\n";
+  }
+  return out;
+}
+
+// The extension store is a persistent chunked bitset shared between the
+// writer and every epoch. Writer inserts, the rollback of a rejected
+// update and the wholesale rebuild of a retraction must leave each
+// published epoch's extensions byte-identical.
+TEST(EpochPersistenceTest, PublishedExtensionsStayByteStable) {
+  Database db;
+  BuildBase(&db);
+  ASSERT_TRUE(db.DefineRole("r").ok());
+  ASSERT_TRUE(db.DefineRole("s").ok());
+  // Enough individuals that extensions span two 4,096-id chunks.
+  for (int i = 0; i < 4200; ++i) {
+    ASSERT_TRUE(
+        db.CreateIndividual("P-" + std::to_string(i), "PERSON").ok());
+  }
+  ASSERT_TRUE(db.CreateIndividual("Z").ok());
+  ASSERT_TRUE(db.CreateIndividual("Q", "(FILLS s Z)").ok());
+
+  KbEngine engine(KbEngine::Options{.num_threads = 1});
+  SnapshotPtr epoch1 = engine.PublishFrom(db.kb());
+  const std::string bytes1 = ExtensionBytes(epoch1->kb());
+  const std::string state1 = epoch1->kb().CanonicalDerivedState();
+
+  // Writer inserts into extensions in both chunks: new STUDENTs (old
+  // and new ids) and new PERSONs.
+  ASSERT_TRUE(db.AssertInd("P-7", "(FILLS enrolled-at Rutgers)").ok());
+  ASSERT_TRUE(db.AssertInd("P-4150", "(FILLS enrolled-at Rutgers)").ok());
+  ASSERT_TRUE(db.CreateIndividual("Late", "STUDENT").ok());
+  EXPECT_EQ(ExtensionBytes(epoch1->kb()), bytes1);
+  SnapshotPtr epoch2 = engine.PublishFrom(db.kb());
+  const std::string bytes2 = ExtensionBytes(epoch2->kb());
+  ASSERT_NE(bytes2, bytes1);
+
+  // A rejected update: P-9 would become a STUDENT, but the ALL it
+  // carries contradicts its filler Q's known s-filler, so propagation
+  // rolls every touched extension back.
+  const size_t rejected = db.kb().stats().rejected_updates;
+  const std::string live_before = ExtensionBytes(db.kb());
+  EXPECT_FALSE(db.AssertInd("P-9",
+                            "(AND (FILLS enrolled-at Rutgers) (FILLS r Q) "
+                            "(ALL r (AT-MOST 0 s)))")
+                   .ok());
+  EXPECT_EQ(db.kb().stats().rejected_updates, rejected + 1);
+  EXPECT_EQ(ExtensionBytes(db.kb()), live_before);
+  EXPECT_EQ(ExtensionBytes(epoch1->kb()), bytes1);
+  EXPECT_EQ(ExtensionBytes(epoch2->kb()), bytes2);
+
+  // A retraction re-derives every extension from the base log.
+  ASSERT_TRUE(db.RetractInd("P-7", "(FILLS enrolled-at Rutgers)").ok());
+  SnapshotPtr epoch3 = engine.PublishFrom(db.kb());
+  EXPECT_NE(ExtensionBytes(epoch3->kb()), bytes2);
+  EXPECT_EQ(ExtensionBytes(epoch1->kb()), bytes1);
+  EXPECT_EQ(ExtensionBytes(epoch2->kb()), bytes2);
+  EXPECT_EQ(epoch1->kb().CanonicalDerivedState(), state1);
+}
+
 TEST(EpochPersistenceTest, InterpreterEpochOps) {
   Database db;
   Interpreter interp(&db);

@@ -205,9 +205,30 @@ TEST_F(ObsTest, HistogramBucketsAndPercentiles) {
   EXPECT_LE(v.p50_ns, 2048u);
   EXPECT_GE(v.p99_ns, 32768u);
   EXPECT_LE(v.p99_ns, 65536u);
+  // Quantiles never leave the observed range (the last bucket's midpoint,
+  // ~49 us, lies above the 40 us maximum).
+  EXPECT_LE(v.p99_ns, v.max_ns);
+  EXPECT_GE(v.p50_ns, v.min_ns);
 
   // Other ops are untouched.
   EXPECT_EQ(obs::OpHistogram(Op::kPublish).View(Op::kPublish).count, 0u);
+}
+
+TEST_F(ObsTest, HistogramQuantilesClampToObservedRange) {
+  // One sample at the top of its octave and one at the bottom of its
+  // own: both bucket midpoints fall outside [min, max].
+  const Op op = Op::kDescribeIndividual;
+  obs::RecordLatency(op, 1000);  // bucket (512, 1024], mid 768
+  obs::RecordLatency(op, 1100);  // bucket (1024, 2048], mid 1536
+  obs::HistogramView v = obs::OpHistogram(op).View(op);
+  EXPECT_EQ(v.min_ns, 1000u);
+  EXPECT_EQ(v.max_ns, 1100u);
+  for (uint64_t q : {v.p50_ns, v.p90_ns, v.p99_ns}) {
+    EXPECT_GE(q, v.min_ns);
+    EXPECT_LE(q, v.max_ns);
+  }
+  EXPECT_LE(v.p50_ns, v.p90_ns);
+  EXPECT_LE(v.p90_ns, v.p99_ns);
 }
 
 TEST_F(ObsTest, RegistryJsonHasStableCounterCatalog) {

@@ -1,11 +1,16 @@
-// Unit tests for util: Status/Result, interning, string helpers, RNG.
+// Unit tests for util: Status/Result, interning, string helpers, RNG,
+// thread pool.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <vector>
 
 #include "util/intern.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace classic {
 namespace {
@@ -141,6 +146,26 @@ TEST(RngTest, DoubleInUnitInterval) {
     double d = rng.NextDouble();
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
+  }
+}
+
+// ParallelFor's completion latch lives on the caller's stack. The runner
+// that finishes last must be done with it before the caller can return;
+// many short calls in a row make any late touch of a dead frame likely
+// (and visible under ASan/TSan).
+TEST(ThreadPoolTest, ParallelForRepeatedShortCalls) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(8);
+  for (int iter = 0; iter < 10000; ++iter) {
+    const size_t n = static_cast<size_t>(iter % 8) + 1;
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    pool.ParallelFor(n, [&hits](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(std::memory_order_relaxed), i < n ? 1 : 0)
+          << "iteration " << iter << " index " << i;
+    }
   }
 }
 
